@@ -55,6 +55,7 @@ type Builder struct {
 	work    []Point
 	phOrder []int
 	phPts   []Point
+	phBound []float64
 	ph      prehull.Scratch
 
 	// output buffers: facet headers, one flat backing array carved into
@@ -123,14 +124,17 @@ func (b *Builder) maybePreHull(work []Point, order []int, d int) ([]Point, []int
 	if o.PreHull == PreHullOff || d < 2 || len(work) == 0 {
 		return work, order, 0, 0, nil
 	}
-	if err := geom.ValidateCloud(work, d); err != nil {
+	bound, err := geom.ValidateCloudBound(work, d, b.phBound)
+	if err != nil {
 		return nil, nil, 0, 0, err
 	}
+	b.phBound = bound
 	if o.PreHull == PreHullAuto && !o.preHullWorthIt(work, d) {
 		return work, order, 0, 0, nil
 	}
 	red, err := prehull.Reduce(work, prehull.Config{
 		Workers:      o.Workers,
+		MaxAbs:       bound,
 		ZOrder:       !o.NoPreHullZOrder,
 		NoPlaneCache: o.NoPlaneCache,
 		Ctx:          o.Context,

@@ -208,6 +208,20 @@ func deriveTrial(seed uint64) TrialSpec {
 	if r.pct(15) {
 		sp.CancelAfterUS = int64(1 + r.intn(20000))
 	}
+
+	// Rare large-n stratum: the pre-hull's interior cull only runs from
+	// 16384 points, above every size drawn above. It is drawn after every
+	// other draw, so the draws above do not depend on it and a seed outside
+	// it keeps its spec. Interior-heavy generators and d = 3 keep the
+	// certification affordable.
+	if (sp.Space == "hulld" || sp.Space == "hull2d") && r.pct(3) {
+		sp.N = r.rangeInt(16384, 65536)
+		sp.PreHull = "on"
+		if sp.Space == "hulld" {
+			sp.D = 3
+		}
+		sp.Gen = r.pick([]string{"ball", "cube", "gauss", "clustered", "aniso"}, []int{40, 15, 15, 15, 15})
+	}
 	return sp
 }
 

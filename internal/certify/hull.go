@@ -1,10 +1,101 @@
 package certify
 
 import (
+	"math"
 	"sort"
 
 	"parhull/internal/geom"
 )
+
+// interiorBall is a side-test shortcut for interior points: a ball around
+// the centroid c of the facet vertices that lies strictly inside every
+// facet, with c's exact side per facet. A point in the ball is on c's side
+// of every facet, exactly: with e_F the exact linear form of the fresh plane,
+// |e_F(c)| >= |Eval_F(c)| - eps/2 (StaticFilterEps is at least twice each
+// of the coefficient error and the evaluation rounding), and |x - c| < 0.999·r with
+// r <= (|Eval_F(c)| - eps)/|N_F| gives |N_F·(x - c)| < |Eval_F(c)| - eps, so
+// e_F(x) keeps the sign of e_F(c) with a margin of eps/2, which covers the
+// coefficient error; the 0.1% shrink absorbs the rounding of the distance
+// and norm computations. The ball only skips tests whose answer it proves,
+// so the certificate is unchanged.
+type interiorBall struct {
+	rest  []int // points outside the ball: these get side tests
+	count int   // points inside the ball
+	first int   // lowest such index
+	side  []int // sign of OrientSimplex(facet, c) per facet
+}
+
+// interiorBall returns the ball of a facet list. It is empty (every point
+// in rest) when the list is malformed (the main loop reports it) or the
+// filter cannot certify c against some facet.
+func (o *sideOracle) interiorBall(pts []geom.Point, facets [][]int) *interiorBall {
+	b := &interiorBall{rest: make([]int, len(pts)), first: -1}
+	for i := range b.rest {
+		b.rest[i] = i
+	}
+	d := len(pts[0])
+	c := make(geom.Point, d)
+	k := 0
+	for _, fv := range facets {
+		if len(fv) != d {
+			return b
+		}
+		for _, v := range fv {
+			if v < 0 || v >= len(pts) {
+				return b
+			}
+			for j := range c {
+				c[j] += pts[v][j]
+			}
+			k++
+		}
+	}
+	for j := range c {
+		c[j] /= float64(k)
+	}
+	side := make([]int, len(facets))
+	vp := make([]geom.Point, d)
+	r := math.Inf(1)
+	for fi, fv := range facets {
+		for j, v := range fv {
+			vp[j] = pts[v]
+		}
+		plane := geom.NewFacetPlane(vp, o.eps)
+		s, ok := plane.CertifiedSign(c)
+		if !plane.Valid() || !ok {
+			return b
+		}
+		side[fi] = s
+		norm := 0.0
+		for j := 0; j < d; j++ {
+			norm += plane.N[j] * plane.N[j]
+		}
+		if rf := (math.Abs(plane.Eval(c)) - o.eps) / math.Sqrt(norm); rf < r {
+			r = rf
+		}
+	}
+	if !(r > 0) || math.IsInf(r, 1) {
+		return b
+	}
+	r2 := 0.999 * r * 0.999 * r
+	b.rest, b.side = b.rest[:0], side
+	for pi, p := range pts {
+		dist2 := 0.0
+		for j := 0; j < d; j++ {
+			dx := p[j] - c[j]
+			dist2 += dx * dx
+		}
+		if dist2 >= r2 {
+			b.rest = append(b.rest, pi)
+			continue
+		}
+		b.count++
+		if b.first < 0 {
+			b.first = pi
+		}
+	}
+	return b
+}
 
 // sideOracle runs facet-vs-point side tests from raw input coordinates: a
 // freshly built supporting plane screens each test, and anything the static
@@ -94,16 +185,17 @@ func Hull(pts []geom.Point, facets [][]int, vertices []int) (Stats, error) {
 		return st, violation(Incomplete, -1, -1, "%d facets cannot bound a %d-polytope (need >= %d)", len(facets), d, d+1)
 	}
 	o := newSideOracle(pts)
+	ball := o.interiorBall(pts, facets)
 	ridges := make(map[string]int, len(facets)*d)
 	ridgeAt := make(map[string]int, len(facets)*d)
 	onHull := make(map[int]bool, len(facets))
 	vp := make([]geom.Point, d)
+	own := make([]bool, len(pts))
 	for fi, fv := range facets {
 		sorted, cerr := checkFacetVerts(fi, fv, d, len(pts))
 		if cerr != nil {
 			return o.stats, cerr
 		}
-		own := make(map[int]bool, d)
 		for j, v := range fv {
 			vp[j] = pts[v]
 			onHull[v] = true
@@ -112,13 +204,13 @@ func Hull(pts []geom.Point, facets [][]int, vertices []int) (Stats, error) {
 		plane := geom.NewFacetPlane(vp, o.eps)
 		pos, neg := -1, -1
 		npos, nneg := 0, 0
-		for pi, p := range pts {
+		for _, pi := range ball.rest {
 			if own[pi] {
 				// The facet's own vertices lie on the plane by construction;
 				// testing them costs a guaranteed exact fallback each.
 				continue
 			}
-			switch o.side(&plane, vp, p) {
+			switch o.side(&plane, vp, pts[pi]) {
 			case 1:
 				npos++
 				if pos < 0 {
@@ -128,6 +220,22 @@ func Hull(pts []geom.Point, facets [][]int, vertices []int) (Stats, error) {
 				nneg++
 				if neg < 0 {
 					neg = pi
+				}
+			}
+		}
+		for _, v := range fv {
+			own[v] = false
+		}
+		if ball.count > 0 {
+			if ball.side[fi] > 0 {
+				npos += ball.count
+				if pos < 0 {
+					pos = ball.first
+				}
+			} else {
+				nneg += ball.count
+				if neg < 0 {
+					neg = ball.first
 				}
 			}
 		}

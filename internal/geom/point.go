@@ -131,8 +131,8 @@ func Centroid(pts []Point) Point {
 // ValidateCloud checks that pts is a non-empty set of finite points of the
 // common dimension d. It is the shared input check used at API boundaries.
 func ValidateCloud(pts []Point, d int) error {
-	if d < 2 {
-		return fmt.Errorf("geom: dimension %d not supported (need d >= 2)", d)
+	if err := validDim(d); err != nil {
+		return err
 	}
 	for i, p := range pts {
 		if len(p) != d {
@@ -141,6 +141,43 @@ func ValidateCloud(pts []Point, d int) error {
 		if !p.Finite() {
 			return fmt.Errorf("geom: point %d: %w", i, ErrBadCoordinate)
 		}
+	}
+	return nil
+}
+
+// ValidateCloudBound is ValidateCloud that also returns the per-dimension
+// absolute coordinate bound of the cloud (the maxAbs vector StaticFilterEps
+// takes), written into buf when its capacity allows — one pass for both, so
+// a caller that needs the bound does not re-read the cloud.
+func ValidateCloudBound(pts []Point, d int, buf []float64) ([]float64, error) {
+	if err := validDim(d); err != nil {
+		return nil, err
+	}
+	if cap(buf) < d {
+		buf = make([]float64, d)
+	}
+	maxAbs := buf[:d]
+	clear(maxAbs)
+	for i, p := range pts {
+		if len(p) != d {
+			return nil, fmt.Errorf("geom: point %d has dimension %d, want %d", i, len(p), d)
+		}
+		for j, v := range p {
+			a := math.Abs(v)
+			if !(a <= math.MaxFloat64) { // NaN or Inf
+				return nil, fmt.Errorf("geom: point %d: %w", i, ErrBadCoordinate)
+			}
+			if a > maxAbs[j] {
+				maxAbs[j] = a
+			}
+		}
+	}
+	return maxAbs, nil
+}
+
+func validDim(d int) error {
+	if d < 2 {
+		return fmt.Errorf("geom: dimension %d not supported (need d >= 2)", d)
 	}
 	return nil
 }

@@ -5,16 +5,26 @@
 // facets as a direct run — the pre-hull changes how much work reaches the
 // engine, never what it outputs.
 //
-// Stage 1 (interior cull): build the hull of a small prefix sample with the
-// existing sequential kernel, orient each sample facet's cached hyperplane
+// Stage 1 (interior cull): hull a prefix sample of clamp(n/32, 2048,
+// 32768) points, orient each sample facet's cached hyperplane
 // (geom.NewFacetPlane) against the sample centroid, and drop every point the
 // static float filter certifies strictly inside ALL sample facets. The
 // sample hull is a subset of the true hull, so a point strictly interior to
 // it is strictly interior to the full hull. Certification uses the
 // worst-case threshold of geom.StaticFilterEps: an uncertified comparison
 // keeps the point, so float rounding can only make the cull less effective,
-// never wrong. For a uniform ball the cull drops the vast majority of the
-// input for h·n fused multiply-adds (h = sample hull size).
+// never wrong. A sample above 2048 points is itself hulled recursively: it
+// is culled against the hull of its first quarter and only the survivors
+// are hulled, which is exact because every vertex of the smaller hull
+// survives. Two structures keep the scan near memory speed. A certified
+// inscribed sphere around the centroid drops deep-interior points for one
+// squared distance. Every other point looks up its direction from the
+// centroid in a cube-map index (cullIndex) that lists the few facets that
+// can be the exit facet of a ray in that direction; the point is dropped
+// only when every listed plane certifies it, which is exactly as sound as
+// testing all planes because the true exit facet is always listed. A
+// point therefore pays a handful of inlined plane evaluations, not one
+// per sample facet.
 //
 // Stage 2 (block sub-hulls): split the survivors into contiguous blocks,
 // compute each block's hull with the sequential kernel — blocks in parallel
@@ -41,7 +51,6 @@ package prehull
 import (
 	"context"
 	"errors"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,27 +76,17 @@ const (
 	// blocksPerWorker is the oversubscription factor of the block loop, so
 	// uneven blocks load-balance across the executor's deques.
 	blocksPerWorker = 8
-
-	// cullSample is the prefix length hulled by the stage-1 interior cull;
-	// the sample hull's facet count h sets the worst-case per-point filter
-	// cost, and the uncovered shell (the survivors) shrinks as the sample
-	// grows. The inscribed-sphere fast path makes deep-interior points
-	// nearly free, so a larger sample mostly buys fewer survivors.
-	cullSample = 2048
-	// cullMinN disables the cull below this input size — with few points
-	// per sample-hull facet the h·n scan cannot pay for itself.
-	cullMinN = 8 * cullSample
-	// cullDense disables the cull when the sample hull keeps more than
-	// 1/cullDense of the sample (boundary-heavy input: nothing inside).
-	cullDense = 4
 )
 
 // Config parameterizes one reduction.
 type Config struct {
-	// Workers is the executor pool width for the block loop (<= 0 selects
-	// GOMAXPROCS). The stage-1 point scan parallelizes via sched.ParallelFor,
-	// which sizes itself from GOMAXPROCS.
+	// Workers is the width of every parallel pass: the stage-1 scans and
+	// the block loop's executor (<= 0 selects GOMAXPROCS).
 	Workers int
+	// MaxAbs, when it has one entry per dimension, is the per-dimension
+	// absolute coordinate bound of pts (geom.ValidateCloudBound returns it),
+	// which saves the cull a pass over the cloud. It must bound every point.
+	MaxAbs []float64
 	// Blocks overrides the automatic block count (<= 0 = auto: the max of
 	// 8 per worker and survivors/32768, clamped so no block drops below
 	// MinBlock).
@@ -119,15 +118,21 @@ type Config struct {
 	// sub-hulls (tests only; nil in production).
 	Inject *faultinject.Injector
 	// Scratch, when non-nil, recycles the reduction's large transient buffers
-	// (cull mask, candidate/keep index lists, gathered survivor cloud) across
-	// Reduce calls. Each call invalidates the Reduction (and gathered cloud)
-	// of the previous call that used the same Scratch.
+	// (cull masks, direction index, candidate/keep index lists, gathered
+	// survivor clouds) across Reduce calls. Each call invalidates the
+	// Reduction (and gathered cloud) of the previous call that used the same
+	// Scratch.
 	Scratch *Scratch
 }
 
 // Scratch holds the pooled buffers of Config.Scratch. All slices are
 // grow-only; the zero value is ready to use.
 type Scratch struct {
+	maxAbs   []float64
+	idx      cullIndex
+	sampMask []bool
+	samp     []int32
+	sampPts  []geom.Point
 	keepMask []bool
 	cand     []int32
 	keep     []int32
@@ -214,6 +219,10 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
+	if cfg.Scratch == nil {
+		cfg.Scratch = new(Scratch)
+	}
+	sc := cfg.Scratch
 
 	// Stage 1: certified-interior cull. cand == nil means "all points".
 	cfg.Inject.Visit(faultinject.SitePreHullStage)
@@ -232,12 +241,8 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 	work := pts
 	if cand != nil {
 		culled = n - len(cand)
-		if s := cfg.Scratch; s != nil {
-			s.work = GatherInto(s.work, pts, cand)
-			work = s.work
-		} else {
-			work = Gather(pts, cand)
-		}
+		sc.work = GatherInto(sc.work, pts, cand)
+		work = sc.work
 	}
 
 	// Stage 2: block sub-hulls over the survivors.
@@ -256,199 +261,13 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 	case cand == nil:
 		red.Keep = blockKeep
 	default:
-		var keep []int32
-		if s := cfg.Scratch; s != nil {
-			if cap(s.keep) < len(blockKeep) {
-				s.keep = make([]int32, len(blockKeep))
-			}
-			keep = s.keep[:len(blockKeep)]
-			s.keep = keep
-		} else {
-			keep = make([]int32, len(blockKeep))
-		}
+		sc.keep = grow(sc.keep, len(blockKeep))
 		for i, v := range blockKeep {
-			keep[i] = cand[v]
+			sc.keep[i] = cand[v]
 		}
-		red.Keep = keep
+		red.Keep = sc.keep
 	}
 	return red, nil
-}
-
-// cullInterior is stage 1: it returns the ascending index list of points
-// that survive the sample-hull interior filter, or nil when the cull is
-// skipped (input too small, dimension uncached, degenerate or dense sample,
-// uncertifiable planes, or nothing culled). Only errors that must abort the
-// whole reduction (cancellation, injected panics, bad coordinates) are
-// returned.
-func cullInterior(pts []geom.Point, d int, cfg Config) ([]int32, error) {
-	n := len(pts)
-	if n < cullMinN || d > geom.MaxPlaneDim {
-		return nil, nil
-	}
-	sample := pts[:cullSample]
-	var facets [][]int32
-	var verts int
-	var herr error
-	if perr := sched.Recovered(func() {
-		facets, verts, herr = subHullFacets(cfg, d, sample)
-	}); perr != nil {
-		return nil, perr
-	}
-	if herr != nil {
-		if errors.Is(herr, hull2d.ErrDegenerate) || errors.Is(herr, hulld.ErrDegenerate) {
-			return nil, nil // flat sample: nothing certifiable, skip the cull
-		}
-		return nil, herr
-	}
-	if verts > cullSample/cullDense {
-		return nil, nil // boundary-heavy input: the cull would keep everything
-	}
-
-	// Static certification threshold over the whole cloud (the planes are
-	// evaluated against every point, so the bound must cover all of them).
-	maxAbs := make([]float64, d)
-	for _, p := range pts {
-		for j := 0; j < d; j++ {
-			if a := p[j]; a > maxAbs[j] {
-				maxAbs[j] = a
-			} else if -a > maxAbs[j] {
-				maxAbs[j] = -a
-			}
-		}
-	}
-	eps := geom.StaticFilterEps(maxAbs)
-	if eps <= 0 {
-		return nil, nil
-	}
-
-	// Orient every sample facet so the sample interior is strictly negative,
-	// using the sample centroid as the interior witness. Any facet the
-	// filter cannot certify against the centroid disables the whole cull —
-	// dropping single facets would be unsound.
-	centroid := make([]float64, d)
-	for _, p := range sample {
-		for j := 0; j < d; j++ {
-			centroid[j] += p[j]
-		}
-	}
-	for j := range centroid {
-		centroid[j] /= float64(len(sample))
-	}
-	// While orienting, accumulate the inscribed-sphere radius around the
-	// centroid: r = min over facets of (certified clearance / ||N||). Any
-	// point within 0.999·r of the centroid satisfies Eval < -Eps on every
-	// plane (Cauchy-Schwarz on the exact linear form, with the Eps margin
-	// absorbing the evaluation error and the 0.1% shrink absorbing the
-	// rounding of the distance and norm computations themselves), so the
-	// common deep-interior case costs one squared distance instead of h
-	// plane evaluations.
-	planes := make([]geom.Plane, 0, len(facets))
-	vp := make([]geom.Point, d)
-	rIn := math.Inf(1)
-	for _, fv := range facets {
-		for i, v := range fv {
-			vp[i] = sample[v]
-		}
-		pl := geom.NewFacetPlane(vp, eps)
-		if !pl.Valid() {
-			return nil, nil
-		}
-		s, ok := pl.CertifiedSign(centroid)
-		if !ok {
-			return nil, nil
-		}
-		if s > 0 {
-			for j := 0; j < d; j++ {
-				pl.N[j] = -pl.N[j]
-			}
-			pl.Off = -pl.Off
-		}
-		norm := 0.0
-		for j := 0; j < d; j++ {
-			norm += pl.N[j] * pl.N[j]
-		}
-		norm = math.Sqrt(norm)
-		if clear := -pl.Eval(centroid) - eps; norm > 0 && clear/norm < rIn {
-			rIn = clear / norm
-		}
-		planes = append(planes, pl)
-	}
-	r2 := 0.0
-	if rIn > 0 && !math.IsInf(rIn, 1) {
-		r2 = 0.999 * rIn * 0.999 * rIn
-	}
-
-	// Scan: a point is dropped only when every plane certifies it strictly
-	// interior (Eval < -Eps) — or, cheaper, when it lies inside the
-	// certified inscribed sphere. The plane loop exits on the first plane
-	// that fails to certify, so shell points are cheap; mid-shell points
-	// pay at most h evals.
-	var keepMask []bool
-	if s := cfg.Scratch; s != nil {
-		if cap(s.keepMask) < n {
-			s.keepMask = make([]bool, n)
-		}
-		keepMask = s.keepMask[:n]
-		s.keepMask = keepMask
-		clear(keepMask)
-	} else {
-		keepMask = make([]bool, n)
-	}
-	var kept atomic.Int64
-	sched.ParallelFor(n, 4096, func(lo, hi int) {
-		if cfg.ctxErr() != nil {
-			return // the post-stage ctx check in Reduce reports it
-		}
-		local := int64(0)
-		for i := lo; i < hi; i++ {
-			x := pts[i]
-			dist2 := 0.0
-			for j := 0; j < d; j++ {
-				dx := x[j] - centroid[j]
-				dist2 += dx * dx
-			}
-			if dist2 < r2 {
-				continue // certified deep interior
-			}
-			inside := true
-			for pi := range planes {
-				if planes[pi].Eval(x) >= -eps {
-					inside = false
-					break
-				}
-			}
-			if !inside {
-				keepMask[i] = true
-				local++
-			}
-		}
-		kept.Add(local)
-	})
-	if err := cfg.ctxErr(); err != nil {
-		return nil, err
-	}
-	k := int(kept.Load())
-	if k == n {
-		return nil, nil
-	}
-	var cand []int32
-	if s := cfg.Scratch; s != nil {
-		if cap(s.cand) < k {
-			s.cand = make([]int32, 0, k)
-		}
-		cand = s.cand[:0]
-	} else {
-		cand = make([]int32, 0, k)
-	}
-	for i, m := range keepMask {
-		if m {
-			cand = append(cand, int32(i))
-		}
-	}
-	if s := cfg.Scratch; s != nil {
-		s.cand = cand
-	}
-	return cand, nil
 }
 
 // blockReduce is stage 2: the parallel block sub-hull loop over work,

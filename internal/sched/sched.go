@@ -26,10 +26,18 @@ func Workers() int { return runtime.GOMAXPROCS(0) }
 // layer (an Executor worker, a Group function, or a Recovered shim) turns it
 // into a typed error.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {
+	ParallelForWidth(Workers(), n, grain, fn)
+}
+
+// ParallelForWidth is ParallelFor on at most w goroutines (w <= 0 selects
+// Workers()), for callers that pin their own parallelism.
+func ParallelForWidth(w, n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers()
+	if w <= 0 {
+		w = Workers()
+	}
 	if grain <= 0 {
 		grain = 1 + n/(8*w)
 	}

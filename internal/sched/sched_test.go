@@ -47,6 +47,29 @@ func TestParallelForDefaultGrain(t *testing.T) {
 	}
 }
 
+// TestParallelForWidthBound checks the explicit width: at most w chunk
+// bodies run at once (GOMAXPROCS is 4 here), and w = 1 runs the whole range
+// as one call.
+func TestParallelForWidthBound(t *testing.T) {
+	for _, w := range []int{1, 2, 3} {
+		var live, peak, calls atomic.Int32
+		ParallelForWidth(w, 10000, 10, func(lo, hi int) {
+			calls.Add(1)
+			n := live.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			runtime.Gosched()
+			live.Add(-1)
+		})
+		if got := peak.Load(); got > int32(w) {
+			t.Fatalf("w=%d: %d bodies ran at once", w, got)
+		}
+		if w == 1 && calls.Load() != 1 {
+			t.Fatalf("w=1: %d calls, want one inline call", calls.Load())
+		}
+	}
+}
+
 func TestGroupRunsAll(t *testing.T) {
 	g := NewGroup(4)
 	var count atomic.Int64

@@ -168,10 +168,10 @@ type Options struct {
 	// ErrCanceled (wrapping ctx.Err()) promptly, with every worker
 	// goroutine quiesced before the return.
 	Context context.Context
-	// Workers pins the width of the work-stealing pools: the pre-hull block
-	// loop and the EngineParallel steal substrate (<= 0 selects GOMAXPROCS;
-	// the Group substrate and the rounds engine size themselves from
-	// GOMAXPROCS directly). The hull output is identical for any width
+	// Workers pins the width of every pre-hull pass (the interior-cull
+	// scans and the block loop) and of the EngineParallel steal substrate
+	// (<= 0 selects GOMAXPROCS; the Group substrate and the rounds engine
+	// size themselves from GOMAXPROCS directly). The hull output is identical for any width
 	// (Theorem 5.5) — only the schedule changes. The speedup harness in
 	// cmd/hullbench sets it alongside runtime.GOMAXPROCS to measure scaling
 	// curves that do not depend on the ambient process configuration.
