@@ -57,6 +57,7 @@ type Builder struct {
 	phPts   []Point
 	phBound []float64
 	ph      prehull.Scratch
+	phEng   prehull.SampleEngine
 
 	// output buffers: facet headers, one flat backing array carved into
 	// per-facet vertex slices, and the hull vertex list.
@@ -74,7 +75,9 @@ type Builder struct {
 // the zero default, as in the one-shot calls). All pooled state is created
 // lazily by the first Build.
 func NewBuilder(opt *Options) *Builder {
-	return &Builder{opt: opt.or(), ruD: hulld.NewReuse(), ru2: hull2d.NewReuse()}
+	b := &Builder{opt: opt.or(), ruD: hulld.NewReuse(), ru2: hull2d.NewReuse()}
+	b.phEng = prehull.SampleEngine{D: b.ruD, Two: b.ru2}
+	return b
 }
 
 var errBuilderClosed = fmt.Errorf("%w: Builder used after Close", ErrBadOption)
@@ -117,29 +120,68 @@ func (b *Builder) shuffled(pts []Point, order []int) []Point {
 	return b.work
 }
 
-// maybePreHull is Options.maybePreHull on the Builder's retained pre-hull
-// scratch and composition buffers.
+// validate checks pts in the caller's order, so an error names the caller's
+// index whatever the Shuffle and PreHull options, and keeps the
+// per-dimension coordinate bound for the pre-hull. Reading the points in
+// their own memory order is also several times faster than reading them
+// through a shuffle. Empty and sub-2D inputs are left to the engines, which
+// report them.
+func (b *Builder) validate(pts []Point, d int) error {
+	if len(pts) == 0 || d < 2 {
+		return nil
+	}
+	bound, err := geom.ValidateCloudBound(pts, d, b.phBound)
+	if err != nil {
+		return err
+	}
+	b.phBound = bound
+	return nil
+}
+
+// preHullWorthIt is the PreHullAuto probe: a hull over the first
+// preHullSample points of the working order, on the Builder's retained
+// engine, and the reduction only when at most 1/preHullDense of the sample
+// survives (interior-heavy input). With Shuffle on (or an already-random
+// input) the prefix is a uniform sample; a sorted unshuffled input can fool
+// it, in which case the reduction is merely skipped or wasted — never
+// wrong.
+func (b *Builder) preHullWorthIt(work []Point) bool {
+	if len(work) < preHullMinN {
+		return false
+	}
+	o := b.opt
+	verts, err := prehull.HullVertices(work[:preHullSample], prehull.Config{
+		Workers:      o.Workers,
+		NoPlaneCache: o.NoPlaneCache,
+		Ctx:          o.Context,
+		Engine:       &b.phEng,
+	})
+	if err != nil {
+		return false // degenerate or canceled sample: run direct
+	}
+	return verts <= preHullSample/preHullDense
+}
+
+// maybePreHull runs the pre-hull reduction selected by Options.PreHull on
+// the Builder's retained scratch, sample engine and composition buffers.
+// work must have passed validate.
 func (b *Builder) maybePreHull(work []Point, order []int, d int) ([]Point, []int, int, int, error) {
 	o := b.opt
 	if o.PreHull == PreHullOff || d < 2 || len(work) == 0 {
 		return work, order, 0, 0, nil
 	}
-	bound, err := geom.ValidateCloudBound(work, d, b.phBound)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	b.phBound = bound
-	if o.PreHull == PreHullAuto && !o.preHullWorthIt(work, d) {
+	if o.PreHull == PreHullAuto && !b.preHullWorthIt(work) {
 		return work, order, 0, 0, nil
 	}
 	red, err := prehull.Reduce(work, prehull.Config{
 		Workers:      o.Workers,
-		MaxAbs:       bound,
+		MaxAbs:       b.phBound,
 		ZOrder:       !o.NoPreHullZOrder,
 		NoPlaneCache: o.NoPlaneCache,
 		Ctx:          o.Context,
 		Inject:       o.inject,
 		Scratch:      &b.ph,
+		Engine:       &b.phEng,
 	})
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -171,12 +213,15 @@ func (b *Builder) Build(pts []Point) (out *HullDResult, err error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	order := b.perm(len(pts))
-	work := b.shuffled(pts, order)
 	d := 0
 	if len(pts) > 0 {
 		d = len(pts[0])
 	}
+	if err := b.validate(pts, d); err != nil {
+		return nil, wrapErr(err)
+	}
+	order := b.perm(len(pts))
+	work := b.shuffled(pts, order)
 	work, order, phBlocks, phKept, err := b.maybePreHull(work, order, d)
 	if err != nil {
 		return nil, wrapErr(err)
@@ -288,6 +333,9 @@ func (b *Builder) Build2D(pts []Point) (out *Hull2DResult, err error) {
 	o := b.opt
 	if err := o.validate(); err != nil {
 		return nil, err
+	}
+	if err := b.validate(pts, 2); err != nil {
+		return nil, wrapErr(err)
 	}
 	order := b.perm(len(pts))
 	work := b.shuffled(pts, order)

@@ -39,7 +39,8 @@ const (
 	// SiteSeqInsert is the sequential engine's per-point insertion loop.
 	SiteSeqInsert
 	// SitePreHullStage is the pre-hull reduction's stage boundary: one visit
-	// before the interior cull and one before the block sub-hull loop.
+	// before the interior cull and one before the block sub-hull loop when
+	// that fallback runs.
 	SitePreHullStage
 	// SitePreHullBlock is the pre-hull block loop: one visit per block body.
 	SitePreHullBlock
@@ -47,8 +48,9 @@ const (
 	// (the kernels' filterVisible* entry points) or per FirstConflict scan of
 	// a configuration space.
 	SiteScanBatch
-	// SiteBuilderRewind is the Builder's retained-state rewind at the start
-	// of the next construction: one visit per reused build.
+	// SiteBuilderRewind is the retained-state rewind at the start of a
+	// construction on a Reuse: one visit per reused build, plus one per
+	// pre-hull sample hull run on the Builder's retained engine.
 	SiteBuilderRewind
 	// SiteSpacePeak is SpaceRounds' peak processing: one visit per claimed
 	// pivot, inside the round task, before its creations run.

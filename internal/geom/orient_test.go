@@ -123,6 +123,56 @@ func TestOrientSimplexAgainstExact(t *testing.T) {
 	}
 }
 
+// TestOrientNearPlanarAgainstExact checks the low-dimension predicates
+// where their float filters fail: the query point is a rounded convex
+// combination of the base points, nudged by one ulp, so most determinants
+// are tiny and the exact fallback decides. Random points (above) never
+// reach it.
+func TestOrientNearPlanarAgainstExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	nonzero := 0
+	for d := 2; d <= 3; d++ {
+		for i := 0; i < 2000; i++ {
+			verts := make([]Point, d)
+			for j := range verts {
+				verts[j] = randPt(rng, d)
+			}
+			p := make(Point, d)
+			sum := 0.0
+			w := make([]float64, d)
+			for j := range w {
+				w[j] = rng.Float64()
+				sum += w[j]
+			}
+			for j, v := range verts {
+				for k := range p {
+					p[k] += w[j] / sum * v[k]
+				}
+			}
+			if i%3 > 0 {
+				p[i%d] = math.Nextafter(p[i%d], float64(2*(i%3)-3))
+			}
+			want := orientExact(verts, p)
+			if want != 0 {
+				nonzero++
+			}
+			if got := OrientSimplex(verts, p); got != want {
+				t.Fatalf("d=%d iter=%d: OrientSimplex=%d exact=%d", d, i, got, want)
+			}
+			if d == 3 {
+				if got := -Orient3D(verts[0], verts[1], verts[2], p); got != want {
+					t.Fatalf("iter=%d: -Orient3D=%d exact=%d", i, got, want)
+				}
+			} else if got := Orient2D(verts[0], verts[1], p); got != want {
+				t.Fatalf("iter=%d: Orient2D=%d exact=%d", i, got, want)
+			}
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("every near-planar case was exactly planar; the test exercised no sign")
+	}
+}
+
 func TestOrientSimplexDegenerateHighDim(t *testing.T) {
 	// p inside the affine hull of the simplex base: determinant is exactly 0.
 	d := 5

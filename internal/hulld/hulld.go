@@ -570,15 +570,19 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 	}
 	// Each ridge of a closed pseudomanifold is shared by exactly two alive
 	// facets, so the count map ends at alive*d/2 entries — preallocate (or,
-	// pooled, refill the retained map: clear keeps its buckets).
+	// pooled, refill the retained map: clear keeps its buckets). A retained
+	// map presized for fewer entries, such as after a small pre-hull sample
+	// hull on the same Reuse, is replaced rather than grown in place, which
+	// would allocate its buckets about twice over.
 	var ridgeCount map[ridgeMapKey]int32
-	if ru != nil && ru.ridges != nil {
+	need := len(res.Facets)*e.d/2 + 1
+	if ru != nil && ru.ridges != nil && need <= ru.ridgesCap {
 		ridgeCount = ru.ridges
 		clear(ridgeCount)
 	} else {
-		ridgeCount = make(map[ridgeMapKey]int32, len(res.Facets)*e.d/2+1)
+		ridgeCount = make(map[ridgeMapKey]int32, need)
 		if ru != nil {
-			ru.ridges = ridgeCount
+			ru.ridges, ru.ridgesCap = ridgeCount, need
 		}
 	}
 	var inHull []bool

@@ -21,14 +21,15 @@ type Reuse struct {
 	pool *eng.Pool[Facet, []int32]
 
 	// initial-hull and collection buffers, grow-only.
-	base     []geom.Point
-	inits    []*Facet
-	created  []*Facet
-	facets   []*Facet
-	vertices []int32
-	inHull   []bool
-	ridges   map[ridgeMapKey]int32
-	res      Result
+	base      []geom.Point
+	inits     []*Facet
+	created   []*Facet
+	facets    []*Facet
+	vertices  []int32
+	inHull    []bool
+	ridges    map[ridgeMapKey]int32
+	ridgesCap int
+	res       Result
 }
 
 // NewReuse returns an empty Reuse; all pooled state is created lazily by the

@@ -58,7 +58,10 @@ type Stats struct {
 	// PreHullBlocks and PreHullKept describe the pre-hull reduction when it
 	// ran: the number of block sub-hulls and the surviving point count fed
 	// to the main construction (both 0 when the reduction was skipped).
-	// All other counters describe the main construction only — the block
+	// PreHullBlocks is 1 when no block stage ran — the interior cull's
+	// survivors went straight to the main construction — and at least 2
+	// when the block sub-hulls ran as the fallback. All other counters
+	// describe the main construction only — the sample and block
 	// sub-hulls' visibility tests and facets are not included.
 	PreHullBlocks, PreHullKept int
 	// PeakBytes is the peak live-heap growth observed during the

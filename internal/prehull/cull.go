@@ -123,11 +123,10 @@ func (c *culler) sampleIndex(m int) (bool, error) {
 			survivors = c.s.sampPts
 		}
 	}
-	var facets [][]int32
 	var verts int
 	var herr error
 	if perr := sched.Recovered(func() {
-		facets, verts, herr = subHullFacets(c.cfg, c.d, survivors)
+		c.s.rows, verts, herr = hullRows(c.cfg, c.d, survivors, c.s.rows)
 	}); perr != nil {
 		return false, perr
 	}
@@ -140,15 +139,16 @@ func (c *culler) sampleIndex(m int) (bool, error) {
 	if verts > m/cullDense {
 		return false, nil // boundary-heavy input: the cull would keep everything
 	}
-	return c.index(sample, survivors, facets), nil
+	return c.index(sample, survivors, c.s.rows), nil
 }
 
-// index orients every facet plane of the hull of hullPts (facets index
-// hullPts) against the centroid of the sample — strictly interior, so every
-// facet must certify it strictly negative — and builds the direction index.
-// Any facet the filter cannot certify against the centroid disables the
-// whole cull: dropping single facets would be unsound.
-func (c *culler) index(sample, hullPts []geom.Point, facets [][]int32) bool {
+// index orients every facet plane of the hull of hullPts against the
+// centroid of the sample — strictly interior, so every facet must certify it
+// strictly negative — and builds the direction index. rows holds the facets
+// as hullRows returns them: d ids into hullPts per facet, in canonical
+// order. Any facet the filter cannot certify against the centroid disables
+// the whole cull: dropping single facets would be unsound.
+func (c *culler) index(sample, hullPts []geom.Point, rows []int32) bool {
 	d := c.d
 	var centroid [geom.MaxPlaneDim]float64
 	for _, p := range sample {
@@ -160,10 +160,11 @@ func (c *culler) index(sample, hullPts []geom.Point, facets [][]int32) bool {
 		centroid[j] /= float64(len(sample))
 	}
 	ix := &c.s.idx
-	planes := grow(ix.planes, len(facets)*(d+1))
+	nf := len(rows) / d
+	planes := grow(ix.planes, nf*(d+1))
 	var vp [geom.MaxPlaneDim]geom.Point
-	for f, fv := range facets {
-		for i, v := range fv {
+	for f := 0; f < nf; f++ {
+		for i, v := range rows[f*d : (f+1)*d] {
 			vp[i] = hullPts[v]
 		}
 		pl := geom.NewFacetPlane(vp[:d], c.eps)
@@ -186,7 +187,7 @@ func (c *culler) index(sample, hullPts []geom.Point, facets [][]int32) bool {
 	if !ix.load(d, c.eps, centroid[:d], planes) {
 		return false
 	}
-	ix.build(gridFor(d, len(facets)))
+	ix.build(gridFor(d, nf))
 	return true
 }
 

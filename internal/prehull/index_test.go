@@ -35,11 +35,12 @@ func newTestIndex(t testing.TB, pts []geom.Point, g int) *testIndex {
 		t.Skip("no static filter for this cloud")
 	}
 	c := &culler{pts: pts, d: d, eps: eps, cfg: Config{Scratch: s}, s: s}
-	facets, _, err := subHullFacets(c.cfg, d, pts)
+	rows, _, err := hullRows(c.cfg, d, pts, nil)
 	if err != nil {
 		t.Skipf("degenerate cloud: %v", err)
 	}
-	if !c.index(pts, pts, facets) {
+	facets := splitRows(rows, d)
+	if !c.index(pts, pts, rows) {
 		t.Skip("planes do not certify the centroid")
 	}
 	if g > 0 {
@@ -51,6 +52,15 @@ func newTestIndex(t testing.TB, pts []geom.Point, g int) *testIndex {
 		ti.inside = append(ti.inside, geom.OrientSimplex(ti.verts(fv), c0))
 	}
 	return ti
+}
+
+// splitRows views flat facet rows of stride d as one slice per facet.
+func splitRows(rows []int32, d int) [][]int32 {
+	facets := make([][]int32, 0, len(rows)/d)
+	for f := 0; f+d <= len(rows); f += d {
+		facets = append(facets, rows[f:f+d])
+	}
+	return facets
 }
 
 // bound is the cloud's per-dimension absolute coordinate bound.
@@ -360,10 +370,11 @@ func nearFacetCloud(t *testing.T, seed int64, n, d int) []geom.Point {
 	rng := pointgen.NewRNG(seed)
 	pts := testCloud(rng, n, d)
 	m := sampleSize(n)
-	facets, _, err := subHullFacets(Config{}, d, pts[:m])
+	rows, _, err := hullRows(Config{}, d, pts[:m], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	facets := splitRows(rows, d)
 	for i, fv := range facets {
 		w := make([]float64, d)
 		sum := 0.0

@@ -1,5 +1,5 @@
-// Package prehull implements the divide-and-conquer input reduction used by
-// the public layer before a full hull construction. It runs in two stages,
+// Package prehull implements the input reduction used by the public layer
+// before a full hull construction. It has two stages, a cull and a fallback,
 // both of which only ever discard points that provably cannot be hull
 // vertices, so the construction that follows produces the exact same final
 // facets as a direct run — the pre-hull changes how much work reaches the
@@ -24,15 +24,28 @@
 // only when every listed plane certifies it, which is exactly as sound as
 // testing all planes because the true exit facet is always listed. A
 // point therefore pays a handful of inlined plane evaluations, not one
-// per sample facet.
+// per sample facet. When the cull reduces the input, its ascending
+// survivors are the reduction: they go straight to the caller's parallel
+// engine, whose optimal work and O(log n) depth settle the thin shell near
+// the hull more cheaply than serial sub-hulls would.
 //
-// Stage 2 (block sub-hulls): split the survivors into contiguous blocks,
-// compute each block's hull with the sequential kernel — blocks in parallel
-// on the work-stealing executor — and keep only the block-hull vertices
-// (a point interior to its block's hull is interior to the full hull). This
-// is ParGeo's concurrent-hull recipe (~8 blocks per worker, serial
-// sub-hulls, flatten the survivors) and is where the block loop's multicore
-// scaling comes from.
+// The sample hulls run on the caller's retained parallel engine when
+// Config.Engine is set, else on the one-shot sequential kernel. Both build
+// the same facets (Theorem 5.5) but list them, and each facet's vertices, in
+// a schedule-dependent order, and a plane computed from a different vertex
+// order can round differently. So the cull reads the facets canonically
+// (hullRows): vertex ids ascending within a facet, facets in lexicographic
+// order. Every plane, every index list, and so the keep set, is then a
+// function of the points alone, identical on both paths.
+//
+// Stage 2 (block sub-hulls), the fallback: when the cull did not reduce the
+// input — below its size floor, above geom.MaxPlaneDim, on a dense or
+// degenerate sample, or at an uncertifiable scale — split the input into
+// blocks, compute each block's hull with the sequential kernel — blocks in
+// parallel on the work-stealing executor — and keep only the block-hull
+// vertices (a point interior to its block's hull is interior to the full
+// hull). This is ParGeo's concurrent-hull recipe (~8 blocks per worker,
+// serial sub-hulls, flatten the survivors).
 //
 // For boundary-heavy inputs (on-sphere: every point a vertex) both stages
 // would keep everything; stage 1 detects that from the sample hull density
@@ -80,8 +93,9 @@ const (
 
 // Config parameterizes one reduction.
 type Config struct {
-	// Workers is the width of every parallel pass: the stage-1 scans and
-	// the block loop's executor (<= 0 selects GOMAXPROCS).
+	// Workers is the width of every parallel pass: the stage-1 scans, the
+	// sample hulls on Engine, and the block loop's executor (<= 0 selects
+	// GOMAXPROCS).
 	Workers int
 	// MaxAbs, when it has one entry per dimension, is the per-dimension
 	// absolute coordinate bound of pts (geom.ValidateCloudBound returns it),
@@ -118,11 +132,14 @@ type Config struct {
 	// sub-hulls (tests only; nil in production).
 	Inject *faultinject.Injector
 	// Scratch, when non-nil, recycles the reduction's large transient buffers
-	// (cull masks, direction index, candidate/keep index lists, gathered
-	// survivor clouds) across Reduce calls. Each call invalidates the
-	// Reduction (and gathered cloud) of the previous call that used the same
-	// Scratch.
+	// (cull masks, direction index, sample facet rows, survivor index lists,
+	// gathered sample clouds) across Reduce calls. Each call invalidates the
+	// Reduction of the previous call that used the same Scratch.
 	Scratch *Scratch
+	// Engine, when non-nil, hulls the cull's sample levels on retained
+	// parallel-engine state instead of one-shot sequential sub-hulls (see
+	// SampleEngine). The Reduction is identical either way.
+	Engine *SampleEngine
 }
 
 // Scratch holds the pooled buffers of Config.Scratch. All slices are
@@ -133,10 +150,9 @@ type Scratch struct {
 	sampMask []bool
 	samp     []int32
 	sampPts  []geom.Point
+	rows     []int32
 	keepMask []bool
 	cand     []int32
-	keep     []int32
-	work     []geom.Point
 }
 
 func (c Config) workers() int {
@@ -189,16 +205,19 @@ type Reduction struct {
 	Keep []int32
 	// Culled counts points dropped by the stage-1 interior filter.
 	Culled int
-	// Blocks is the number of block sub-hulls run.
+	// Blocks is the number of block sub-hulls run; 1 when the block stage
+	// did not run (the cull reduced the input, or it was too small to
+	// block up).
 	Blocks int
 	// DegenerateBlocks counts blocks kept whole because their sub-hull
 	// reported degenerate input (the safe over-approximation).
 	DegenerateBlocks int
 }
 
-// Reduce runs the two-stage reduction over pts (dimension d = len(pts[0])
-// >= 2) and returns the surviving index set. The caller is responsible for
-// validating the cloud first (NaN/Inf coordinates); degenerate geometry
+// Reduce runs the reduction over pts (dimension d = len(pts[0]) >= 2) and
+// returns the surviving index set: the stage-1 cull's survivors when it
+// reduced the input, otherwise the block stage's. The caller is responsible
+// for validating the cloud first (NaN/Inf coordinates); degenerate geometry
 // needs no pre-validation — a degenerate sample skips the cull and
 // degenerate blocks are kept whole.
 //
@@ -222,52 +241,32 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 	if cfg.Scratch == nil {
 		cfg.Scratch = new(Scratch)
 	}
-	sc := cfg.Scratch
 
-	// Stage 1: certified-interior cull. cand == nil means "all points".
+	// Stage 1: certified-interior cull. Its survivors are the reduction
+	// whenever it reduced anything: they sit in a thin shell near the hull,
+	// and the parallel engine settles them for less than block sub-hulls
+	// would.
 	cfg.Inject.Visit(faultinject.SitePreHullStage)
-	var cand []int32
 	if !cfg.NoCull {
-		var err error
-		cand, err = cullInterior(pts, d, cfg)
+		cand, err := cullInterior(pts, d, cfg)
 		if err != nil {
 			return nil, err
 		}
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
-	}
-	culled := 0
-	work := pts
-	if cand != nil {
-		culled = n - len(cand)
-		sc.work = GatherInto(sc.work, pts, cand)
-		work = sc.work
+		if cand != nil {
+			return &Reduction{Keep: cand, Culled: n - len(cand), Blocks: 1}, nil
+		}
 	}
 
-	// Stage 2: block sub-hulls over the survivors.
+	// Stage 2, the fallback: block sub-hulls over the whole input.
 	cfg.Inject.Visit(faultinject.SitePreHullStage)
-	blockKeep, nb, degen, err := blockReduce(work, d, cfg)
+	keep, nb, degen, err := blockReduce(pts, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	red := &Reduction{Culled: culled, Blocks: nb, DegenerateBlocks: degen}
-	switch {
-	case cand == nil && blockKeep == nil:
-		// Neither stage reduced anything; run directly.
-	case blockKeep == nil:
-		red.Keep = cand
-	case cand == nil:
-		red.Keep = blockKeep
-	default:
-		sc.keep = grow(sc.keep, len(blockKeep))
-		for i, v := range blockKeep {
-			sc.keep[i] = cand[v]
-		}
-		red.Keep = sc.keep
-	}
-	return red, nil
+	return &Reduction{Keep: keep, Blocks: nb, DegenerateBlocks: degen}, nil
 }
 
 // blockReduce is stage 2: the parallel block sub-hull loop over work,
@@ -405,31 +404,6 @@ func subHull(cfg Config, d int, pts []geom.Point) ([]int32, error) {
 		return nil, err
 	}
 	return res.Vertices, nil
-}
-
-// subHullFacets runs the sequential kernel over the cull sample and returns
-// each alive facet's sample-local vertex list plus the hull vertex count.
-func subHullFacets(cfg Config, d int, pts []geom.Point) ([][]int32, int, error) {
-	if d == 2 {
-		res, err := hull2d.SeqCtx(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
-		if err != nil {
-			return nil, 0, err
-		}
-		facets := make([][]int32, len(res.Facets))
-		for i, f := range res.Facets {
-			facets[i] = []int32{f.A, f.B}
-		}
-		return facets, len(res.Vertices), nil
-	}
-	res, err := hulld.SeqCtx(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
-	if err != nil {
-		return nil, 0, err
-	}
-	facets := make([][]int32, len(res.Facets))
-	for i, f := range res.Facets {
-		facets[i] = f.Verts
-	}
-	return facets, len(res.Vertices), nil
 }
 
 // Gather materializes the reduced cloud: out[i] = pts[keep[i]]. The point

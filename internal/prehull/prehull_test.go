@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -457,5 +459,92 @@ func TestCullPanicContainment(t *testing.T) {
 	fp, ok := pe.Value.(faultinject.Panic)
 	if !ok || fp.Site != faultinject.SiteSeqInsert {
 		t.Fatalf("contained value = %#v", pe.Value)
+	}
+}
+
+// TestReduceSampleEngineMatchesOneShot checks that hulling the cull's sample
+// levels on a retained parallel engine yields the bit-identical Reduction of
+// the one-shot sequential path — same Keep, Culled and Blocks — over ball,
+// cube and Gaussian clouds, d = 2..5, at worker widths 1 and 2, repeated on
+// one retained engine so a stale rewind would show. In d <= 3 the input is
+// large enough for a recursive sample (two hull levels); above, exact
+// sample hulls are costly, so it holds one level and d = 5 runs one
+// repetition. A 5D ball's sample is dense enough to disable the cull, so
+// d = 5 runs cube and Gaussian only.
+func TestReduceSampleEngineMatchesOneShot(t *testing.T) {
+	leakcheck.Check(t)
+	gens := map[string]func(rng *rand.Rand, n, d int) []geom.Point{
+		"ball":  pointgen.UniformBall,
+		"cube":  pointgen.InCube,
+		"gauss": pointgen.Gaussian,
+	}
+	eng := &SampleEngine{D: hulld.NewReuse(), Two: hull2d.NewReuse()}
+	defer eng.D.Close()
+	defer eng.Two.Close()
+	reps := 5
+	if testing.Short() || raceEnabled {
+		reps = 2
+	}
+	for d := 2; d <= 5; d++ {
+		n := 70000
+		if d > 3 {
+			n = cullMinN + 4000
+		}
+		for name, gen := range gens {
+			if d == 5 && (name == "ball" || testing.Short() || raceEnabled) {
+				continue
+			}
+			t.Run(fmt.Sprintf("d=%d/%s", d, name), func(t *testing.T) {
+				rng := pointgen.NewRNG(int64(80 + d))
+				pts := pointgen.Shuffled(rng, gen(rng, n, d))
+				want, err := Reduce(pts, Config{ZOrder: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Culled == 0 || want.Blocks != 1 {
+					t.Fatalf("one-shot: Culled=%d Blocks=%d, want the cull to reduce", want.Culled, want.Blocks)
+				}
+				wantKeep := append([]int32(nil), want.Keep...)
+				s := new(Scratch)
+				for rep := 0; rep < reps && (d < 5 || rep == 0); rep++ {
+					for _, w := range []int{1, 2} {
+						got, err := Reduce(pts, Config{Workers: w, ZOrder: true, Scratch: s, Engine: eng})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Culled != want.Culled || got.Blocks != want.Blocks || !slices.Equal(got.Keep, wantKeep) {
+							t.Fatalf("rep=%d workers=%d: engine path kept %d (culled %d, blocks %d), one-shot %d (culled %d, blocks %d)",
+								rep, w, len(got.Keep), got.Culled, got.Blocks, len(wantKeep), want.Culled, want.Blocks)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestHullVerticesMatchesOneShot checks the auto-mode probe's count is the
+// same on the retained engine as on the sequential kernel, and that a
+// degenerate sample fails on both.
+func TestHullVerticesMatchesOneShot(t *testing.T) {
+	eng := &SampleEngine{D: hulld.NewReuse(), Two: hull2d.NewReuse()}
+	defer eng.D.Close()
+	defer eng.Two.Close()
+	for d := 2; d <= 4; d++ {
+		pts := shuffledBall(int64(90+d), 1024, d)
+		want, err := HullVertices(pts, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2} {
+			got, err := HullVertices(pts, Config{Workers: w, Engine: eng})
+			if err != nil || got != want {
+				t.Fatalf("d=%d workers=%d: %d vertices (err %v), one-shot %d", d, w, got, err, want)
+			}
+		}
+	}
+	flat := pointgen.Collinear2D(geom.Point{0, 0}, geom.Point{1, 2}, 100)
+	if _, err := HullVertices(flat, Config{Engine: eng}); !errors.Is(err, hull2d.ErrDegenerate) {
+		t.Fatalf("collinear sample: err = %v, want ErrDegenerate", err)
 	}
 }

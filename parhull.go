@@ -96,21 +96,25 @@ const (
 	MapTAS
 )
 
-// PreHullMode controls the divide-and-conquer input reduction that runs
-// before the main construction: the input is split into blocks, each block's
-// hull is computed serially (blocks in parallel), and only the block-hull
-// vertices reach the selected engine. A point interior to its block's hull
-// cannot be a hull vertex, so the final facets are exactly those of a direct
-// run — the reduction changes the work, never the output (asserted across
-// engines by the equivalence tests). See internal/prehull and DESIGN.md §4.4.
+// PreHullMode controls the input reduction that runs before the main
+// construction. From 16384 points (in d <= 8) it hulls a prefix sample and
+// drops every point certified strictly inside that hull; the survivors go
+// straight to the selected engine. When that cull cannot reduce the input
+// (fewer points, higher d, a degenerate or boundary-heavy sample), the
+// fallback splits the input into blocks, computes each block's hull
+// serially (blocks in parallel), and keeps only the block-hull vertices.
+// Neither stage drops a point that could be a hull vertex, so the final
+// facets are exactly those of a direct run — the reduction changes the
+// work, never the output (asserted across engines by the equivalence
+// tests). See internal/prehull and DESIGN.md §4.4.
 type PreHullMode int
 
 const (
 	// PreHullAuto (default) enables the reduction for large interior-heavy
-	// inputs: a serial hull over a small prefix sample estimates the hull
-	// density, and the reduction runs only when the sample is mostly
-	// interior (uniform-ball-like). Boundary-heavy inputs (points on a
-	// sphere) skip it — there is nothing to discard.
+	// inputs: a hull over a small prefix sample estimates the hull density,
+	// and the reduction runs only when the sample is mostly interior
+	// (uniform-ball-like). Boundary-heavy inputs (points on a sphere) skip
+	// it — there is nothing to discard.
 	PreHullAuto PreHullMode = iota
 	// PreHullOn always attempts the reduction (inputs too small to block up
 	// still run direct).
@@ -168,8 +172,9 @@ type Options struct {
 	// ErrCanceled (wrapping ctx.Err()) promptly, with every worker
 	// goroutine quiesced before the return.
 	Context context.Context
-	// Workers pins the width of every pre-hull pass (the interior-cull
-	// scans and the block loop) and of the EngineParallel steal substrate
+	// Workers pins the width of every pre-hull pass (the auto probe, the
+	// interior cull's sample hulls and scans, and the block loop) and of
+	// the EngineParallel steal substrate
 	// (<= 0 selects GOMAXPROCS; the Group substrate and the rounds engine
 	// size themselves from GOMAXPROCS directly). The hull output is identical for any width
 	// (Theorem 5.5) — only the schedule changes. The speedup harness in
@@ -344,8 +349,8 @@ func mapBack(idx int32, order []int) int {
 
 var errBadEngine = fmt.Errorf("%w: unknown engine", ErrBadOption)
 
-// Auto-mode pre-hull thresholds: below preHullMinN the block sub-hulls
-// cannot pay for themselves; the probe runs a serial hull over the first
+// Auto-mode pre-hull thresholds: below preHullMinN the reduction cannot pay
+// for itself; the probe (Builder.preHullWorthIt) hulls the first
 // preHullSample points of the working order and enables the reduction only
 // when at most 1/preHullDense of the sample survives (interior-heavy input).
 const (
@@ -353,29 +358,3 @@ const (
 	preHullSample = 1024
 	preHullDense  = 4
 )
-
-// preHullWorthIt is the PreHullAuto probe. The sample is a prefix of the
-// working order, so with Shuffle on (or an already-random input) it is a
-// uniform sample; a sorted unshuffled input can fool it, in which case the
-// reduction is merely skipped or wasted — never wrong.
-func (o *Options) preHullWorthIt(work []Point, d int) bool {
-	if len(work) < preHullMinN {
-		return false
-	}
-	sample := work[:preHullSample]
-	var verts int
-	if d == 2 {
-		res, err := hull2d.SeqCtx(o.Context, nil, sample, o.NoPlaneCache)
-		if err != nil {
-			return false // degenerate or canceled sample: run direct
-		}
-		verts = len(res.Vertices)
-	} else {
-		res, err := hulld.SeqCtx(o.Context, nil, sample, o.NoPlaneCache)
-		if err != nil {
-			return false
-		}
-		verts = len(res.Vertices)
-	}
-	return verts <= preHullSample/preHullDense
-}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -169,27 +172,163 @@ func TestPreHullCancelPublic(t *testing.T) {
 // TestPreHullCullPublic drives an input large enough for the stage-1
 // interior cull (the block-stage-only tests above sit below its size floor):
 // the reduction must get dramatically stronger — a few percent of the input
-// surviving — while the reported hull stays facet-identical to a direct run.
+// surviving — and the cull's survivors must go straight to the engine
+// (PreHullBlocks == 1: no block stage), while the reported hull stays
+// facet-identical to a direct run, for every engine and on a reused
+// Builder.
 func TestPreHullCullPublic(t *testing.T) {
 	pts := RandomPoints(30000, 3, 16)
 	base, err := HullD(pts, &Options{Engine: EngineSequential, Shuffle: true, Seed: 2, PreHull: PreHullOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := HullD(pts, &Options{Shuffle: true, Seed: 2, PreHull: PreHullOn})
-	if err != nil {
-		t.Fatal(err)
+	want := facetKeys(base)
+	for _, eng := range []Engine{EngineParallel, EngineSequential, EngineRounds} {
+		for _, mode := range []PreHullMode{PreHullOn, PreHullAuto} {
+			b := NewBuilder(&Options{Engine: eng, Shuffle: true, Seed: 2, PreHull: mode})
+			for rep := 0; rep < 2; rep++ {
+				res, err := b.Build(pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kept := res.Stats.PreHullKept; kept == 0 || kept > len(pts)/5 {
+					t.Fatalf("engine=%d mode=%d: PreHullKept = %d of %d, expected the interior cull to engage", eng, mode, kept, len(pts))
+				}
+				if res.Stats.PreHullBlocks != 1 {
+					t.Fatalf("engine=%d mode=%d: PreHullBlocks = %d, want 1 (the cull's survivors go straight to the engine)", eng, mode, res.Stats.PreHullBlocks)
+				}
+				got := facetKeys(res)
+				if len(got) != len(want) {
+					t.Fatalf("engine=%d mode=%d: %d facets vs %d direct", eng, mode, len(got), len(want))
+				}
+				for k, c := range want {
+					if got[k] != c {
+						t.Fatalf("engine=%d mode=%d: facet %s multiplicity %d vs %d", eng, mode, k, got[k], c)
+					}
+				}
+			}
+			b.Close()
+		}
 	}
-	if kept := res.Stats.PreHullKept; kept == 0 || kept > len(pts)/5 {
-		t.Fatalf("PreHullKept = %d of %d, expected the interior cull to engage", kept, len(pts))
+}
+
+// TestPreHullFallbackBlocks pins the block stage as the fallback for inputs
+// the cull cannot reduce: below its size floor (n = 5000) and above
+// geom.MaxPlaneDim (d = 9). Both must still run block sub-hulls
+// (PreHullBlocks >= 2) and report the direct run's hull. The 9D cloud is
+// three simplices, each block's points filling one (the later two nested
+// inside the first), in an order the contiguous blocks follow, so every
+// hull in the test stays a simplex.
+func TestPreHullFallbackBlocks(t *testing.T) {
+	nine := func() []Point {
+		const d, perBlock = 9, 100
+		rng := rand.New(rand.NewSource(19))
+		convex := func(verts []Point, spread float64) Point {
+			w := make([]float64, len(verts))
+			sum := 0.0
+			for i := range w {
+				w[i] = 1 + spread*rng.Float64()
+				sum += w[i]
+			}
+			p := make(Point, d)
+			for i, v := range verts {
+				for j := range p {
+					p[j] += w[i] / sum * v[j]
+				}
+			}
+			return p
+		}
+		outer := make([]Point, d+1)
+		for i := range outer {
+			outer[i] = make(Point, d)
+			for j := range outer[i] {
+				outer[i][j] = 10 * rng.NormFloat64()
+			}
+		}
+		var pts []Point
+		for b := 0; b < 3; b++ {
+			verts := outer
+			if b > 0 {
+				verts = make([]Point, d+1)
+				for i := range verts {
+					verts[i] = convex(outer, 0.5)
+				}
+			}
+			pts = append(pts, verts...)
+			for len(pts) < (b+1)*perBlock {
+				pts = append(pts, convex(verts, 10))
+			}
+		}
+		return pts
 	}
-	want, got := facetKeys(base), facetKeys(res)
-	if len(got) != len(want) {
-		t.Fatalf("%d facets vs %d direct", len(got), len(want))
+	cases := []struct {
+		name string
+		pts  []Point
+		opt  Options
+	}{
+		{"n=5000", RandomPoints(5000, 3, 20), Options{Shuffle: true, Seed: 4}},
+		{"d=9", nine(), Options{NoPreHullZOrder: true}},
 	}
-	for k, c := range want {
-		if got[k] != c {
-			t.Fatalf("facet %s multiplicity %d vs %d", k, got[k], c)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			off := c.opt
+			off.PreHull = PreHullOff
+			base, err := HullD(c.pts, &off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			on := c.opt
+			on.PreHull = PreHullOn
+			res, err := HullD(c.pts, &on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.PreHullBlocks < 2 || res.Stats.PreHullKept == 0 || res.Stats.PreHullKept >= len(c.pts) {
+				t.Fatalf("PreHullBlocks = %d, PreHullKept = %d of %d: want the block stage to reduce",
+					res.Stats.PreHullBlocks, res.Stats.PreHullKept, len(c.pts))
+			}
+			want, got := facetKeys(base), facetKeys(res)
+			if len(got) != len(want) {
+				t.Fatalf("%d facets vs %d direct", len(got), len(want))
+			}
+			for k, m := range want {
+				if got[k] != m {
+					t.Fatalf("facet %s multiplicity %d vs %d", k, got[k], m)
+				}
+			}
+		})
+	}
+}
+
+// TestValidationNamesCallerIndex checks that a bad point is reported by its
+// index in the caller's slice, not by its position in the shuffled
+// insertion order, on every pre-hull path and for both error kinds.
+func TestValidationNamesCallerIndex(t *testing.T) {
+	const bad = 12345
+	for _, mode := range []PreHullMode{PreHullAuto, PreHullOn, PreHullOff} {
+		for _, kind := range []string{"nan", "dim"} {
+			pts := RandomPoints(20000, 3, 21)
+			if kind == "nan" {
+				pts[bad] = Point{0.1, math.NaN(), 0.2}
+			} else {
+				pts[bad] = Point{0.1, 0.2}
+			}
+			_, err := HullD(pts, &Options{Shuffle: true, Seed: 6, PreHull: mode})
+			if err == nil {
+				t.Fatalf("mode=%d %s: no error", mode, kind)
+			}
+			if kind == "nan" && !errors.Is(err, ErrBadCoordinate) {
+				t.Fatalf("mode=%d: err = %v, want ErrBadCoordinate", mode, err)
+			}
+			if want := fmt.Sprintf("point %d", bad); !strings.Contains(err.Error(), want) {
+				t.Fatalf("mode=%d %s: err = %q, want it to name %q", mode, kind, err, want)
+			}
+		}
+		pts := RandomPoints(20000, 2, 22)
+		pts[bad] = Point{math.Inf(1), 0}
+		_, err := Hull2D(pts, &Options{Shuffle: true, Seed: 6, PreHull: mode})
+		if !errors.Is(err, ErrBadCoordinate) || !strings.Contains(err.Error(), fmt.Sprintf("point %d:", bad)) {
+			t.Fatalf("mode=%d 2D: err = %v, want ErrBadCoordinate naming point %d", mode, err, bad)
 		}
 	}
 }
